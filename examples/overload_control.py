@@ -7,8 +7,9 @@ the elastic controller (``repro.overload.OverloadController``) pauses
 the source when queues cross the watermark and adaptively sheds just
 enough stale work to pull p99 response time back under the objective.
 
-The legacy interface (``scheduler.shedder = LoadShedder(...)``) still
-works but warns; ``QoSPolicy.from_legacy(...)`` maps it field for field.
+A static shedder (``scheduler.shedder = BacklogShedder(...)``) is the
+hand-tuned alternative; ``QoSPolicy.from_legacy(...)`` maps its arguments
+field for field.
 
 Run:  python examples/overload_control.py
 """

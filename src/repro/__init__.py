@@ -149,7 +149,6 @@ from .stafilos import (
     AdaptiveScheduler,
     EarliestDeadlineScheduler,
     FIFOScheduler,
-    LoadShedder,
     MulticoreSCWFDirector,
     QuantumPriorityScheduler,
     RateBasedScheduler,
@@ -236,7 +235,6 @@ __all__ = [
     "EarliestDeadlineScheduler",
     "EDFScheduler",
     "FIFOScheduler",
-    "LoadShedder",
     "MulticoreSCWFDirector",
     "QBSScheduler",
     "QuantumPriorityScheduler",

@@ -220,7 +220,7 @@ class PNCWFDirector(Director):
         self,
         time_scale: float = 1.0,
         poll_timeout_s: float = 0.05,
-        error_policy: "FaultPolicy | str" = FaultPolicy(),
+        error_policy: FaultPolicy = FaultPolicy(),
     ):
         super().__init__()
         try:
@@ -230,7 +230,7 @@ class PNCWFDirector(Director):
         self.time_scale = time_scale
         self._poll_timeout_s = poll_timeout_s
         #: Recovery configuration; a live continuous engine defaults to
-        #: ``"drop"`` (dead-letter poison events) because ``"raise"``
+        #: ``FaultPolicy()`` (dead-letter poison events) because fail-stop
         #: would silently kill the failing actor's thread instead of
         #: surfacing the exception to the caller.
         self.fault_policy = policy
@@ -257,11 +257,6 @@ class PNCWFDirector(Director):
         self._pause_gate.set()
         self._inflight = 0
         self._inflight_cv = threading.Condition()
-
-    @property
-    def error_policy(self) -> str:
-        """Legacy string view of :attr:`fault_policy` (back-compat)."""
-        return self.fault_policy.alias
 
     @property
     def dead_letters(self):
@@ -448,7 +443,7 @@ class PNCWFDirector(Director):
     def _on_thread_failure(self, actor: Actor, error: BaseException) -> bool:
         """A supervised thread loop raised; True retires the thread.
 
-        Under the fail-stop (``"raise"``) policy the exception already
+        Under the fail-stop (``propagate=True``) policy the exception already
         went through :meth:`FaultSupervisor.on_failure`, the thread is
         recorded as lost and retires.  Under any other policy this can
         only be an engine-machinery crash, so the loop is restarted in

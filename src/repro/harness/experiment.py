@@ -10,8 +10,8 @@ its three runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from ..checkpoint import (
     CheckpointManifest,
@@ -115,103 +115,83 @@ def make_scheduler(spec: SchedulerSpec) -> AbstractScheduler:
     raise SimulationError(f"unknown scheduler kind {spec.kind!r}")
 
 
+#: ``ExperimentConfig`` fields a manifest leaves out: the seed being run
+#: is stored as ``seed``, the checkpoint directory is wherever the manifest
+#: is found, and an ``error_policy`` object is re-derived on resume from
+#: ``fault_spec``.
+_META_OMITTED = frozenset({"seeds", "checkpoint_dir", "error_policy"})
+
+
 def checkpoint_meta(config: ExperimentConfig, seed: int) -> dict:
     """The manifest metadata ``repro resume`` rebuilds an engine from.
 
     Everything *structural* must be re-derivable from this record: the
     scheduler spec, the full workload configuration (accident scripts
-    included), the seed pair and the fault configuration.  The snapshot
-    payload carries only data, so a wrong rebuild would diverge — the
-    structure fingerprint check catches gross mismatches, this metadata
-    prevents them.
+    included), the seed and every engine knob.  The snapshot payload
+    carries only data, so a wrong rebuild would diverge — the structure
+    fingerprint check catches gross mismatches, this metadata prevents
+    them.  Every ``ExperimentConfig`` field except :data:`_META_OMITTED`
+    is written, nested dataclasses as dicts.
     """
-    return {
-        "scheduler": {
-            "kind": config.scheduler.kind,
-            "quantum_us": config.scheduler.quantum_us,
-            "source_interval": config.scheduler.source_interval,
-        },
-        "workload": asdict(config.workload),
-        "seed": seed,
-        "cost_seed": config.cost_seed,
-        "bucket_s": config.bucket_s,
-        "fault_spec": config.fault_spec,
-        "checkpoint_every_s": config.checkpoint_every_s,
-        "checkpoint_retain": config.checkpoint_retain,
-        "train_size": config.train_size,
-        "qos": None if config.qos is None else asdict(config.qos),
-        "fuse": config.fuse,
-        "frontier": config.frontier,
-        "lateness": config.lateness,
-        "shard_inflight": config.shard_inflight,
-        "shard_codec": config.shard_codec,
-        "shard_adaptive_chunk": config.shard_adaptive_chunk,
+    meta = {}
+    for spec in fields(ExperimentConfig):
+        if spec.name not in _META_OMITTED:
+            value = getattr(config, spec.name)
+            meta[spec.name] = asdict(value) if is_dataclass(value) else value
+    meta["seed"] = seed
+    return meta
+
+
+def _from_meta(hint, raw):
+    """Rebuild a value of type *hint* from its manifest (JSON) form.
+
+    Dataclasses come back from dicts and tuples from lists; scalars pass
+    through unchanged.
+    """
+    if raw is None:
+        return None
+    if get_origin(hint) is Union:  # Optional[X]
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return _dataclass_from_meta(hint, raw)
+    if get_origin(hint) is tuple:
+        return tuple(_from_meta(get_args(hint)[0], item) for item in raw)
+    return raw
+
+
+def _dataclass_from_meta(cls, raw: dict, **extra):
+    """Build *cls* from the keys of *raw* that name its fields.
+
+    A key an older manifest lacks takes the field's default, so adding a
+    defaulted field needs no codec change.
+    """
+    hints = get_type_hints(cls)
+    kwargs = {
+        spec.name: _from_meta(hints[spec.name], raw[spec.name])
+        for spec in fields(cls)
+        if spec.init and spec.name in raw
     }
+    kwargs.update(extra)
+    return cls(**kwargs)
 
 
 def config_from_meta(
     meta: dict, checkpoint_dir: Optional[str] = None
 ) -> tuple[ExperimentConfig, int]:
     """Rebuild ``(ExperimentConfig, seed)`` from manifest metadata."""
-    from ..linearroad.generator import AccidentScript, WorkloadConfig
-    from ..overload import QoSPolicy
-
     try:
-        qos_raw = meta.get("qos")
-        workload_raw = dict(meta["workload"])
-        # Older manifests predate out-of-order delivery: in order.
-        workload_raw.setdefault("disorder_s", 0.0)
-        workload_raw["accidents"] = tuple(
-            AccidentScript(**dict(script))
-            for script in workload_raw.get("accidents", ())
-        )
-        workload_raw["congestion_segments"] = tuple(
-            workload_raw.get("congestion_segments", ())
-        )
-        spec = SchedulerSpec(
-            kind=meta["scheduler"]["kind"],
-            quantum_us=meta["scheduler"]["quantum_us"],
-            source_interval=meta["scheduler"]["source_interval"],
-        )
-        config = ExperimentConfig(
-            scheduler=spec,
-            workload=WorkloadConfig(**workload_raw),
-            seeds=(int(meta["seed"]),),
-            bucket_s=int(meta["bucket_s"]),
-            cost_seed=int(meta["cost_seed"]),
-            fault_spec=meta.get("fault_spec"),
+        seed = int(meta["seed"])
+        config = _dataclass_from_meta(
+            ExperimentConfig,
+            meta,
+            seeds=(seed,),
             checkpoint_dir=checkpoint_dir,
-            checkpoint_every_s=meta.get("checkpoint_every_s"),
-            checkpoint_retain=int(meta.get("checkpoint_retain", 3)),
-            # Older manifests predate event trains: default to the
-            # classic per-event loop.  ``None`` (drain-all) is a valid
-            # stored value and must not be coerced.
-            train_size=(
-                None
-                if meta.get("train_size", 1) is None
-                else int(meta.get("train_size", 1))
-            ),
-            # Older manifests predate QoS: default to uncontrolled.
-            qos=None if qos_raw is None else QoSPolicy(**dict(qos_raw)),
-            # Older manifests predate fusion: default to unfused.
-            fuse=bool(meta.get("fuse", False)),
-            # Older manifests predate frontiers: default to untracked.
-            frontier=meta.get("frontier"),
-            lateness=meta.get("lateness"),
-            # Older manifests predate the pipelined shard data plane:
-            # default to the current transport defaults (the knobs are
-            # output-invariant, so resume stays bit-identical).
-            shard_inflight=int(meta.get("shard_inflight", 4)),
-            shard_codec=str(meta.get("shard_codec", "struct")),
-            shard_adaptive_chunk=bool(
-                meta.get("shard_adaptive_chunk", False)
-            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"manifest metadata cannot rebuild an experiment: {exc}"
         ) from exc
-    return config, int(meta["seed"])
+    return config, seed
 
 
 def _build_engine(

@@ -17,8 +17,8 @@ driven entirely by engine time:
   director's event-train quantum and the scheduler quantum (AIMD:
   multiplicative tighten on SLO violation, additive relax when healthy).
 
-The controller plugs into the exact hook points the legacy ``LoadShedder``
-used — it *is* a duck-typed shedder (``enforce``/``shed_sources`` plus
+The controller plugs into the exact hook points a static ``BacklogShedder``
+uses — it *is* a duck-typed shedder (``enforce``/``shed_sources`` plus
 the ``dropped*`` counters) assigned to ``scheduler.shedder``, and
 additionally registers as the scheduler's ``admission_gate`` and the
 director's ``overload`` component.  Every decision is a pure function of
@@ -56,7 +56,7 @@ class OverloadController:
         controller.install(director)          # or director.apply_qos(policy)
 
     The controller then rides the scheduler's iteration-start hook (the
-    same place ``LoadShedder.shed_sources`` ran): it refreshes the
+    same place ``BacklogShedder.shed_sources`` runs): it refreshes the
     backpressure state, applies input-side shedding and, once per control
     period, evaluates the SLO loop.
     """
@@ -145,7 +145,7 @@ class OverloadController:
         return self
 
     # ------------------------------------------------------------------
-    # LoadShedder-compatible surface (duck-typed shedder protocol)
+    # BacklogShedder-compatible surface (duck-typed shedder protocol)
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
@@ -183,9 +183,9 @@ class OverloadController:
     def shed_sources(self, scheduler: Any, now: int) -> int:
         """Iteration-start hook: input shedding + the control tick.
 
-        Runs exactly where the legacy shedder ran, so with only the
+        Runs exactly where a static shedder runs, so with only the
         shedding group configured the drop sequence is identical to a
-        ``LoadShedder`` with the same bounds.
+        ``BacklogShedder`` with the same bounds.
         """
         drops = 0
         if self._shedder is not None:

@@ -1,13 +1,13 @@
 """The unified QoS policy: one config object for all overload knobs.
 
 Before this package, overload control was a handful of scattered settings
-(``LoadShedder(max_total_backlog, strategy, protect_priority,
-max_source_pending)`` assigned by hand onto a scheduler, plus ad-hoc CLI
+(a shedder built from ``max_total_backlog, strategy, protect_priority,
+max_source_pending`` assigned by hand onto a scheduler, plus ad-hoc CLI
 flags).  :class:`QoSPolicy` subsumes them all in one declarative record
 with three independent mechanism groups and one closed-loop target:
 
 * **shedding** — the classic backlog/source drop bounds (the legacy
-  ``LoadShedder`` surface, field for field);
+  ``BacklogShedder`` surface, field for field);
 * **admission** — per-source token buckets refilled in engine time, so
   bursts are smoothed at the door instead of queued;
 * **backpressure** — a total-backlog watermark that *pauses* source
@@ -38,12 +38,12 @@ class QoSPolicy:
     """Declarative overload-control configuration (all knobs, one place).
 
     The four field groups are independent; any subset may be enabled.
-    ``from_legacy`` maps the historical ``LoadShedder`` constructor onto
+    ``from_legacy`` maps the static ``BacklogShedder`` constructor onto
     the shedding group one-to-one, and ``parse`` builds a policy from the
     CLI's compact ``key=value,...`` spec string.
     """
 
-    # ---- shedding (the legacy LoadShedder surface) -------------------
+    # ---- shedding (the static BacklogShedder surface) ----------------
     #: Total ready-backlog bound; excess is dropped from the most
     #: backlogged unprotected actor.  ``None`` = no static bound (the
     #: adaptive loop may still impose a dynamic one).
@@ -160,10 +160,10 @@ class QoSPolicy:
         protect_priority: int = 5,
         max_source_pending: Optional[int] = None,
     ) -> "QoSPolicy":
-        """Map the historical ``LoadShedder`` constructor, field for field.
+        """Map the static ``BacklogShedder`` constructor, field for field.
 
         A controller built from this policy sheds identically to
-        ``scheduler.shedder = LoadShedder(...)`` with the same arguments
+        ``scheduler.shedder = BacklogShedder(...)`` with the same arguments
         (the equivalence test in ``tests/test_overload.py`` holds them
         bit-identical).
         """

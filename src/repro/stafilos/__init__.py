@@ -27,7 +27,6 @@ from .schedulers import (
     RoundRobinScheduler,
 )
 from .scwf_director import SCWFDirector
-from .shedding import LoadShedder
 from .states import ActorState
 from .tm_receiver import TMWindowedReceiver
 
@@ -37,7 +36,6 @@ __all__ = [
     "AdaptiveScheduler",
     "EarliestDeadlineScheduler",
     "FIFOScheduler",
-    "LoadShedder",
     "MulticoreSCWFDirector",
     "QuantumPriorityScheduler",
     "quantum_grant",

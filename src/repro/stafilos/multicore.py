@@ -5,10 +5,13 @@ modern machines to balance the distribution of the ready actors queue to
 each core while considering data dependencies."
 
 This module implements that direction as a *processor-sharing
-approximation* on the virtual clock: when the director dispatches a
-firing, the firing's cost is divided by the instantaneous parallelism —
-the number of distinct actors that currently hold ready work, capped at
-the core count.  Two firings of the *same* actor never overlap (an actor
+approximation* on the virtual clock: through the SCWF fire loop's
+``item_charge`` hook, every engine-time charge of a dispatched item
+(invocation, fused, failure and backoff cost) is divided by the
+instantaneous parallelism — the number of distinct actors that currently
+hold ready work, capped at the core count — sampled once per item, so
+every ``train_size`` gives the same result.  Dispatch overhead is not
+shared.  Two firings of the *same* actor never overlap (an actor
 is single-threaded, the data dependency the paper flags), which the model
 respects by definition: parallelism counts distinct runnable actors.
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 from ..core.exceptions import DirectorError
 from .abstract_scheduler import AbstractScheduler
 from .scwf_director import SCWFDirector
-from .states import ActorState
 
 
 class MulticoreSCWFDirector(SCWFDirector):
@@ -64,18 +66,16 @@ class MulticoreSCWFDirector(SCWFDirector):
         return self._parallelism_weighted / self._parallelism_samples
 
     # ------------------------------------------------------------------
-    def _fire_internal(self, actor) -> bool:
+    def item_charge(self):
+        """Sample the parallelism the next dispatched item runs under and
+        return the clock charge that shares its firing cost across cores.
+        """
         parallelism = self._current_parallelism()
         self._parallelism_weighted += parallelism
         self._parallelism_samples += 1
-        # Temporarily scale the clock's advance for this firing.
-        original_advance = self.clock.advance
+        advance = self.clock.advance
 
         def shared_advance(delta_us: int) -> int:
-            return original_advance(max(1, int(delta_us / parallelism)))
+            return advance(max(1, int(delta_us / parallelism)))
 
-        self.clock.advance = shared_advance
-        try:
-            return super()._fire_internal(actor)
-        finally:
-            self.clock.advance = original_advance
+        return shared_advance

@@ -61,13 +61,21 @@ class SCWFDirector(Director):
 
     model_name = "SCWF"
 
+    #: Firing-charge hook.  When set, the fire loop calls it once per
+    #: dispatched item (empty dispatches included) and makes that item's
+    #: engine-time charges — invocation, fused, failure and backoff —
+    #: through the ``advance``-like callable it returns.  Dispatch
+    #: overhead always goes to the clock directly.  ``None`` charges the
+    #: clock as is; the multicore director shares cost across cores.
+    item_charge = None
+
     def __init__(
         self,
         scheduler: AbstractScheduler,
         clock,
         cost_model,
         max_firings_per_iteration: int = 5_000_000,
-        error_policy: "FaultPolicy | str" = FaultPolicy(propagate=True),
+        error_policy: FaultPolicy = FaultPolicy(propagate=True),
         train_size: Optional[int] = 1,
     ):
         super().__init__()
@@ -84,9 +92,9 @@ class SCWFDirector(Director):
         #: Event-train firing quantum: how many staged ready items one
         #: dispatch of a non-source actor may drain (``None`` = drain-all),
         #: and the chunk size emission trains are flushed in.  1 (the
-        #: default) preserves the historical strictly-per-event path; every
-        #: value is bit-identical to 1 by construction (see
-        #: ``_fire_internal_train``), batching only the bookkeeping.
+        #: default) fires one item per scheduling decision; every value is
+        #: bit-identical to 1 by construction (see ``_fire_train``),
+        #: batching only the bookkeeping.
         self.train_size = train_size
         self.scheduler = scheduler
         self.clock = clock
@@ -104,10 +112,9 @@ class SCWFDirector(Director):
         #: Lateness policy handed to timed receivers at creation.
         self.frontier_lateness = None
         self.max_firings_per_iteration = max_firings_per_iteration
-        #: The recovery configuration.  ``error_policy`` accepts a full
-        #: :class:`~repro.resilience.FaultPolicy` or the legacy string
-        #: aliases: ``"raise"`` propagates actor exceptions (fail-stop);
-        #: ``"drop"`` treats a failing firing as a fault barrier — the
+        #: The recovery configuration: ``FaultPolicy(propagate=True)``
+        #: propagates actor exceptions (fail-stop); otherwise a failing
+        #: firing is a fault barrier — retried per the policy, then the
         #: triggering item is consumed, partial emissions are discarded,
         #: the error counted and the item dead-lettered.
         self.fault_policy = policy
@@ -128,17 +135,14 @@ class SCWFDirector(Director):
         self._deadline_cache: list[Optional[int]] = []
         #: Slots whose window operator changed since the last flush.
         self._deadline_dirty: set[int] = set()
+        #: Per-actor facts of the fire loop, by actor name (``_fire_plan``).
+        self._fire_plans: dict[str, tuple] = {}
         # ---- next-arrival cache -------------------------------------
         self._arrival_cache: Optional[int] = None
         self._arrival_cache_valid = False
         #: Live (unbounded) sources can grow their arrival schedule from
         #: a background thread; caching is only safe without them.
         self._sources_static = False
-
-    @property
-    def error_policy(self) -> str:
-        """Legacy string view of :attr:`fault_policy` (back-compat)."""
-        return self.fault_policy.alias
 
     @property
     def dead_letters(self):
@@ -258,17 +262,10 @@ class SCWFDirector(Director):
                 source_emissions += self._fire_source(actor)
                 fired_total += 1
                 next_actor = scheduler.get_next_actor()
-            elif budget == 1:
-                if self._fire_internal(actor):
-                    internal_firings += 1
-                fired_total += 1
-                next_actor = scheduler.get_next_actor()
             else:
-                # Event-train execution: keep draining this actor while
-                # the scheduler keeps choosing it, up to ``budget`` items.
-                fired, items, carried = self._fire_internal_train(
-                    actor, budget
-                )
+                # Keep draining this actor while the scheduler keeps
+                # choosing it, up to ``budget`` items (one at the default).
+                fired, items, carried = self._fire_train(actor, budget)
                 internal_firings += fired
                 fired_total += items
                 next_actor = (
@@ -368,138 +365,63 @@ class SCWFDirector(Director):
             )
         return emitted
 
-    def _fire_internal(self, actor: Actor) -> bool:
-        scheduler = self.scheduler
-        ready = scheduler.dequeue_item(actor)
-        if ready is None:
-            # The policy considered the actor runnable, but its queue is
-            # empty (e.g. state staleness); treat as a no-op dispatch.
-            scheduler.invalidate_state(actor)
-            return False
-        supervisor = self.supervisor
-        if supervisor.is_quarantined(actor.name):
-            # Open circuit: the item bypasses execution entirely.
-            now = self.clock.now_us
-            scheduler.on_actor_fire_start(actor, now)
-            supervisor.drop_quarantined(
-                actor, ready.port_name, ready.item, now
-            )
-            self.actor_errors[actor.name] = (
-                self.actor_errors.get(actor.name, 0) + 1
-            )
-            if self.frontier is not None:
-                self.frontier.retire_item(ready.item)
-            scheduler.on_actor_fire_end(actor, 0, now)
-            return False
-        now = self.clock.now_us
-        start = now
-        scheduler.on_actor_fire_start(actor, now)
-        port = actor.input(ready.port_name)
-        receiver = port.receiver
-        assert isinstance(receiver, TMWindowedReceiver)
+    def _fire_plan(self, actor: Actor) -> tuple:
+        """The per-actor facts of the fire loop, resolved at first dispatch.
+
+        ``(record_invocation, fire_batch, fused_flush, fast_base)`` — none
+        of them changes while the engine runs, so they are looked up once
+        instead of once per dispatch.  Bound ``prefire``/``fire``/
+        ``postfire`` and the scheduler's ready queue are deliberately not
+        cached: fault injection shadows ``fire`` at run time and ADAPT
+        swaps its hosted scheduler.
+        """
+        # Stateless fast path: ``fire_batch`` may replace the
+        # prefire/fire/postfire triple only when the actor kept the
+        # trivial base-class lifecycle (both default to "always ready").
+        fire_batch = getattr(actor, "fire_batch", None)
+        if fire_batch is not None and (
+            type(actor).prefire is not Actor.prefire
+            or type(actor).postfire is not Actor.postfire
+        ):
+            fire_batch = None
+        # Fused chains settle their own per-member charges; the generic
+        # cost paths must not double-charge them.
         fused_flush = getattr(actor, "flush_fused_charges", None)
-        fired = False
-        attempt = 0
-        while True:
-            receiver.stage(ready.item)
-            ctx = self.make_context(actor, self.clock.now_us)
-            ctx.stage(ready.port_name, receiver.get())
-            try:
-                if actor.prefire(ctx):
-                    actor.fire(ctx)
-                    actor.postfire(ctx)
-                    fired = True
-                ctx.close()
-                # Only a completed attempt records a full invocation.
-                if fused_flush is not None:
-                    # Fused chains accrue per-member charges internally;
-                    # advance by the sum, then let the chain attribute
-                    # costs/tokens per member and emit its finals.
-                    self.clock.advance(actor.take_pending_cost())
-                    fused_flush(self.clock.now_us)
-                else:
-                    cost = self.cost_model.invocation_cost(actor, ctx)
-                    self.clock.advance(cost)
-                    self.statistics.record_invocation(actor, cost)
-                supervisor.on_success(actor)
-                break
-            except Exception as error:
-                # Fault barrier: discard the failed firing's partial
-                # emissions, charge the (cheaper) failure cost, and let
-                # the supervisor decide: retry, dead-letter or propagate.
-                ctx.abort()
-                ctx.close()
-                if fused_flush is not None:
-                    actor.discard_fused_charges()
-                attempt += 1
-                decision = supervisor.on_failure(
-                    actor,
-                    ready.port_name,
-                    ready.item,
-                    error,
-                    attempt,
-                    self.clock.now_us,
-                )
-                if decision.action is FailureAction.PROPAGATE:
-                    raise
-                self.clock.advance(
-                    self.cost_model.failure_cost(actor, ctx)
-                )
-                if _obs.ENABLED:
-                    _obs._TRACER.instant(
-                        "actor.error",
-                        self.clock.now_us,
-                        actor.name,
-                        error=type(error).__name__,
-                        attempt=attempt,
-                    )
-                if decision.action is FailureAction.RETRY:
-                    # Exponential backoff charged in engine time.
-                    self.clock.advance(decision.backoff_us)
-                    continue
-                # Dead-lettered by the supervisor.
-                self.actor_errors[actor.name] = (
-                    self.actor_errors.get(actor.name, 0) + 1
-                )
-                fired = False
-                break
-        if self.frontier is not None:
-            # The item's token retires only after its firing settled —
-            # emissions flushed at ctx.close() re-upped the root first,
-            # so a live wave's count never transiently reaches zero.
-            self.frontier.retire_item(ready.item)
-        now = self.clock.now_us
-        elapsed = now - start
-        scheduler.on_actor_fire_end(actor, elapsed, now)
-        if _obs.ENABLED:
-            _obs._TRACER.span(
-                "actor.fire",
-                start,
-                elapsed,
-                actor.name,
-                fired=fired,
-                port=ready.port_name,
-                attempts=attempt + 1 if fired or attempt else 1,
-            )
-        return fired
+        # Deterministic cost fast path: when the model's charge is pure
+        # integer arithmetic (no jitter, unit scale), inline it and skip
+        # two method calls per item.  ``fast_invocation_base`` is duck
+        # typed so custom cost models silently keep the full path.
+        fast_base_fn = getattr(self.cost_model, "fast_invocation_base", None)
+        fast_base = (
+            None
+            if fast_base_fn is None or fused_flush is not None
+            else fast_base_fn(actor)
+        )
+        plan = self._fire_plans[actor.name] = (
+            self.statistics.register(actor).record_invocation,
+            fire_batch,
+            fused_flush,
+            fast_base,
+        )
+        return plan
 
-    def _fire_internal_train(self, actor: Actor, budget: Optional[int]):
-        """Drain up to *budget* ready items of *actor* in one dispatch.
+    def _fire_train(self, actor: Actor, budget: Optional[int]):
+        """Fire up to *budget* ready items of *actor* in one dispatch.
 
-        Bit-identical to ``budget`` repetitions of the classic dispatch
-        loop (``get_next_actor`` → dispatch overhead → ``_fire_internal``)
-        for as long as the scheduler would keep choosing *actor*:
+        The only internal firing path: ``train_size=1`` runs it as a
+        one-item train.  Longer trains are bit-identical to repetitions of
+        the one-item dispatch (``get_next_actor`` → dispatch overhead →
+        fire one item) for as long as the scheduler would keep choosing
+        *actor*:
 
         * the scheduler is consulted **between every item** — quantum
           exhaustion, a window landing on a higher-priority actor, or a
           due source all cut the train exactly where the per-event loop
           would have switched;
         * every item is dequeued, charged (dispatch overhead, invocation
-          or failure cost), recorded and flushed individually, in the
-          same order — only the Python-level bookkeeping (context
-          allocation, receiver staging round-trip, method dispatch) is
-          amortized, plus the tracer fires once per train carrying exact
-          per-event counts;
+          or failure cost), recorded, traced and flushed individually, in
+          the same order — only the Python-level bookkeeping (context
+          allocation, method lookups) is amortized;
         * a drawn-but-unusable scheduling decision is *carried* back to
           the caller so it is consumed exactly once (policies like RR
           advance rotation state inside ``get_next_actor``).
@@ -514,72 +436,54 @@ class SCWFDirector(Director):
         """
         scheduler = self.scheduler
         supervisor = self.supervisor
-        cost_model = self.cost_model
         clock = self.clock
-        # Prebound hot-path methods (one dict lookup each per train
-        # instead of two attribute walks per item).
-        dequeue_item = scheduler.dequeue_item
-        get_next_actor = scheduler.get_next_actor
-        continue_train = scheduler.continue_train
-        fire_start = scheduler.on_actor_fire_start
-        fire_end = scheduler.on_actor_fire_end
         advance = clock.advance
-        invocation_cost = cost_model.invocation_cost
-        # Per-actor stats resolved once: the registry-level
-        # ``record_invocation`` is a pure delegation to this bound method.
-        record_invocation = self.statistics.register(actor).record_invocation
+        plan = self._fire_plans.get(actor.name)
+        if plan is None:
+            plan = self._fire_plan(actor)
+        record_invocation, fire_batch, fused_flush, fast_base = plan
+        if fire_batch is not None and "fire" in actor.__dict__:
+            # A fault injector shadows ``fire`` on the instance; the
+            # class-level batch entry point would bypass it.
+            fire_batch = None
+        if fire_batch is None:
+            actor_prefire = actor.prefire
+            actor_fire = actor.fire
+            actor_postfire = actor.postfire
+        if fast_base is not None:
+            per_input_us = self.cost_model.per_input_us
+            per_output_us = self.cost_model.per_output_us
+        # Engine-time charges made inside a firing go through ``charge``;
+        # the hook may replace it per item (see ``item_charge``).
+        charge_hook = self.item_charge
+        charge = advance
         # With tracing off, ``dequeue_item`` reduces to a queue pop plus a
         # state invalidation that the per-item ``fire_end`` hook (or the
         # explicit empty-dequeue branch below) performs anyway — pop the
         # queue directly.  With tracing on, keep the full call so the
         # ``sched.queue_depth`` counter fires per dequeue.
-        queue_pop = scheduler.ready[actor.name].pop
         obs_on = _obs.ENABLED
+        queue_pop = scheduler.ready[actor.name].pop
+        fire_start = scheduler.on_actor_fire_start
+        fire_end = scheduler.on_actor_fire_end
         is_quarantined = supervisor.is_quarantined
         on_success = supervisor.on_success
-        dispatch_overhead = cost_model.dispatch_overhead_us
-        actor_prefire = actor.prefire
-        actor_fire = actor.fire
-        actor_postfire = actor.postfire
-        # Stateless fast path: ``fire_batch`` may replace the
-        # prefire/fire/postfire triple only when the actor kept the
-        # trivial base-class lifecycle (both default to "always ready").
-        fire_batch = getattr(actor, "fire_batch", None)
-        if fire_batch is not None and (
-            type(actor).prefire is not Actor.prefire
-            or type(actor).postfire is not Actor.postfire
-        ):
-            fire_batch = None
-        # Fused chains settle their own per-member charges; the generic
-        # cost paths below must not double-charge them.
-        fused_flush = getattr(actor, "flush_fused_charges", None)
-        # Deterministic cost fast path: when the model's charge is pure
-        # integer arithmetic (no jitter, unit scale), inline it and skip
-        # two method calls per item.  ``fast_invocation_base`` is duck
-        # typed so custom cost models silently keep the full path.
-        fast_base_fn = getattr(cost_model, "fast_invocation_base", None)
-        fast_base = (
-            None
-            if fast_base_fn is None or fused_flush is not None
-            else fast_base_fn(actor)
-        )
-        if fast_base is not None:
-            per_input_us = cost_model.per_input_us
-            per_output_us = cost_model.per_output_us
         frontier = self.frontier
-        train_start = clock.now_us
         max_items = self.max_firings_per_iteration
         fired = 0
         items = 0
         ctx: Optional[FiringContext] = None
         while True:
-            ready = dequeue_item(actor) if obs_on else queue_pop()
+            if charge_hook is not None:
+                charge = charge_hook()
+            ready = scheduler.dequeue_item(actor) if obs_on else queue_pop()
             items += 1
             if ready is None:
-                # Runnable per a stale state but the queue is empty:
-                # no-op dispatch, exactly as ``_fire_internal``.
+                # The policy considered the actor runnable, but its queue
+                # is empty (e.g. state staleness): a no-op dispatch.
                 scheduler.invalidate_state(actor)
             elif is_quarantined(actor.name):
+                # Open circuit: the item bypasses execution entirely.
                 now = clock.now_us
                 fire_start(actor, now)
                 supervisor.drop_quarantined(
@@ -611,8 +515,14 @@ class SCWFDirector(Director):
                             actor_postfire(ctx)
                             fired_this = True
                         ctx.close()
+                        # Only a completed attempt records a full
+                        # invocation.
                         if fused_flush is not None:
-                            advance(actor.take_pending_cost())
+                            # Fused chains accrue per-member charges
+                            # internally; advance by the sum, then let the
+                            # chain attribute costs/tokens per member and
+                            # emit its finals.
+                            charge(actor.take_pending_cost())
                             fused_flush(clock.now_us)
                         else:
                             if fast_base is not None:
@@ -624,12 +534,18 @@ class SCWFDirector(Director):
                                 if cost < 1:
                                     cost = 1
                             else:
-                                cost = invocation_cost(actor, ctx)
-                            advance(cost)
+                                cost = self.cost_model.invocation_cost(
+                                    actor, ctx
+                                )
+                            charge(cost)
                             record_invocation(cost)
                         on_success(actor)
                         break
                     except Exception as error:
+                        # Fault barrier: discard the failed firing's
+                        # partial emissions, charge the (cheaper) failure
+                        # cost, and let the supervisor decide: retry,
+                        # dead-letter or propagate.
                         ctx.abort()
                         ctx.close()
                         if fused_flush is not None:
@@ -645,7 +561,7 @@ class SCWFDirector(Director):
                         )
                         if decision.action is FailureAction.PROPAGATE:
                             raise
-                        advance(cost_model.failure_cost(actor, ctx))
+                        charge(self.cost_model.failure_cost(actor, ctx))
                         if _obs.ENABLED:
                             _obs._TRACER.instant(
                                 "actor.error",
@@ -655,52 +571,55 @@ class SCWFDirector(Director):
                                 attempt=attempt,
                             )
                         if decision.action is FailureAction.RETRY:
-                            advance(decision.backoff_us)
+                            # Exponential backoff charged in engine time.
+                            charge(decision.backoff_us)
                             ctx.reset(clock.now_us)
                             ctx.stage(ready.port_name, ready.item)
                             continue
+                        # Dead-lettered by the supervisor.
                         self.actor_errors[actor.name] = (
                             self.actor_errors.get(actor.name, 0) + 1
                         )
                         fired_this = False
                         break
                 if frontier is not None:
+                    # The item's token retires only after its firing
+                    # settled — emissions flushed at ctx.close() re-upped
+                    # the root first, so a live wave's count never
+                    # transiently reaches zero.
                     frontier.retire_item(ready.item)
                 end_now = clock.now_us
                 fire_end(actor, end_now - now, end_now)
                 if fired_this:
                     fired += 1
+                if obs_on:
+                    _obs._TRACER.span(
+                        "actor.fire",
+                        now,
+                        end_now - now,
+                        actor.name,
+                        fired=fired_this,
+                        port=ready.port_name,
+                        attempts=attempt + 1 if fired_this or attempt else 1,
+                    )
             if items > max_items:
                 raise DirectorError(
                     "director iteration exceeded "
                     f"{max_items} firings; scheduler livelock?"
                 )
             if budget is not None and items >= budget:
-                carried = _CONSULT
-                break
-            if not continue_train(actor):
-                chosen = get_next_actor()
+                return fired, items, _CONSULT
+            if not scheduler.continue_train(actor):
+                chosen = scheduler.get_next_actor()
                 if chosen is not actor:
-                    carried = chosen
-                    break
+                    return fired, items, chosen
             # The train continues: charge the dispatch the per-event loop
             # would have paid for re-selecting the same actor.
-            if _obs.ENABLED:
+            if obs_on:
                 _obs._TRACER.instant(
                     "sched.dispatch", clock.now_us, actor.name, source=False
                 )
-            advance(dispatch_overhead)
-        if _obs.ENABLED:
-            now = clock.now_us
-            _obs._TRACER.span(
-                "actor.fire_train",
-                train_start,
-                now - train_start,
-                actor.name,
-                items=items,
-                fired=fired,
-            )
-        return fired, items, carried
+            advance(self.cost_model.dispatch_overhead_us)
 
     # ------------------------------------------------------------------
     # Window timeout events

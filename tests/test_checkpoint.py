@@ -10,7 +10,7 @@ Covers the acceptance criteria of the subsystem:
   and through a full resume;
 * store unit behaviour (atomic layout, retention, CRC verification);
 * dead-letter replay through the restored engine;
-* the ``DeprecationWarning`` on legacy ``error_policy`` string aliases.
+* ``FaultPolicy.coerce`` stays warning-free.
 """
 
 import warnings
@@ -42,7 +42,6 @@ from repro.harness.experiment import (
 )
 from repro.observability import RecordingTracer, use_tracer
 from repro.resilience import FaultPolicy, replay_dead_letters
-from repro.resilience.policy import _WARNED_ALIASES
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
 
@@ -675,34 +674,9 @@ class TestLivePNCWFBarrier:
 
 
 # ----------------------------------------------------------------------
-# Legacy error_policy strings are deprecated
+# error_policy takes FaultPolicy instances only
 # ----------------------------------------------------------------------
 class TestErrorPolicyDeprecation:
-    @pytest.fixture(autouse=True)
-    def _reset_warned(self):
-        saved = set(_WARNED_ALIASES)
-        _WARNED_ALIASES.clear()
-        yield
-        _WARNED_ALIASES.clear()
-        _WARNED_ALIASES.update(saved)
-
-    def test_raise_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="propagate=True"):
-            policy = FaultPolicy.coerce("raise")
-        assert policy.propagate
-
-    def test_drop_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="FaultPolicy()"):
-            policy = FaultPolicy.coerce("drop")
-        assert not policy.propagate
-
-    def test_warning_fires_once_per_alias(self):
-        with pytest.warns(DeprecationWarning):
-            FaultPolicy.coerce("raise")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FaultPolicy.coerce("raise")  # second use stays silent
-
     def test_policy_instances_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -29,11 +29,15 @@ def wide_workflow(arrivals, branches=4, cost_us=1_000):
     return workflow, sink
 
 
-def finish_time(cores, arrivals, branches=4):
+def finish_time(cores, arrivals, branches=4, train_size=1):
     workflow, sink = wide_workflow(arrivals, branches)
     clock = VirtualClock()
     director = MulticoreSCWFDirector(
-        RoundRobinScheduler(10_000), clock, CostModel(), cores=cores
+        RoundRobinScheduler(10_000),
+        clock,
+        CostModel(),
+        cores=cores,
+        train_size=train_size,
     )
     director.attach(workflow)
     SimulationRuntime(director, clock).run(60.0, drain=True)
@@ -86,6 +90,15 @@ class TestMulticore:
         arrivals = [(0, i) for i in range(20)]
         _, director = finish_time(4, arrivals)
         assert 1.0 < director.mean_parallelism() <= 4.0
+
+    @pytest.mark.parametrize("train_size", [1, 64, None])
+    def test_cost_sharing_at_every_train_size(self, train_size):
+        # Parallelism is sampled per dispatched item, so a train shares
+        # cost across cores exactly like one-item dispatch.
+        arrivals = [(0, i) for i in range(20)]
+        now_us, director = finish_time(4, arrivals, train_size=train_size)
+        assert now_us == 47_435
+        assert director.mean_parallelism() == 2.125
 
     def test_linear_road_capacity_grows_with_cores(self):
         from repro.harness import default_cost_model

@@ -12,7 +12,7 @@ from repro.overload import (
     TokenBucket,
 )
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
-from repro.stafilos import LoadShedder, QuantumPriorityScheduler, SCWFDirector
+from repro.stafilos import QuantumPriorityScheduler, SCWFDirector
 
 
 def delivered(sink):
@@ -20,7 +20,7 @@ def delivered(sink):
     return [(t, event.value, event.timestamp) for t, event in sink.items]
 
 
-def build_overloaded_engine(qos=None, legacy_shedder=None, arrivals=2_000):
+def build_overloaded_engine(qos=None, static_shedder=None, arrivals=2_000):
     """A 2x-overloaded three-actor pipeline (source -> heavy -> sink)."""
     workflow = Workflow("overload")
     source = SourceActor(
@@ -42,8 +42,8 @@ def build_overloaded_engine(qos=None, legacy_shedder=None, arrivals=2_000):
     if qos is not None:
         controller = director.apply_qos(qos)
         controller.attach_latency_probe(lambda: sink.response_times_us)
-    if legacy_shedder is not None:
-        scheduler.shedder = legacy_shedder
+    if static_shedder is not None:
+        scheduler.shedder = static_shedder
     director.attach(workflow)
     return director, scheduler, clock, sink, controller
 
@@ -113,11 +113,11 @@ class TestTokenBucket:
 
 class TestLegacyEquivalence:
     def test_qos_sheds_identically_to_legacy_loadshedder(self):
-        """from_legacy(...) drops the same events the old knob dropped."""
+        """from_legacy(...) drops the same events a static shedder drops."""
         outcomes = []
         for engine in (
             build_overloaded_engine(
-                legacy_shedder=LoadShedder(max_total_backlog=20)
+                static_shedder=BacklogShedder(max_total_backlog=20)
             ),
             build_overloaded_engine(qos=QoSPolicy.from_legacy(20)),
         ):
@@ -134,31 +134,17 @@ class TestLegacyEquivalence:
         assert delivered(qos_sink) == delivered(legacy_sink)
         assert qos_sink.response_times_us == legacy_sink.response_times_us
 
-    def test_legacy_constructor_warns_once(self):
-        from repro.stafilos import shedding as legacy_module
-
-        legacy_module._WARNED = False
-        with pytest.warns(DeprecationWarning, match="LoadShedder"):
-            LoadShedder(max_total_backlog=10)
-        import warnings
-
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            LoadShedder(max_total_backlog=10)
-        assert record == []
-
     def test_legacy_kwargs_still_work(self):
-        shedder = LoadShedder(
+        policy = QoSPolicy.from_legacy(
             max_total_backlog=7,
             strategy="drop-newest",
             protect_priority=3,
             max_source_pending=9,
         )
-        assert isinstance(shedder, BacklogShedder)
-        assert shedder.max_total_backlog == 7
-        assert shedder.strategy == "drop-newest"
-        assert shedder.protect_priority == 3
-        assert shedder.max_source_pending == 9
+        assert policy.max_total_backlog == 7
+        assert policy.shed_strategy == "drop-newest"
+        assert policy.protect_priority == 3
+        assert policy.max_source_pending == 9
 
 
 class TestBackpressure:

@@ -52,8 +52,10 @@ def flaky_workflow(arrivals=None, fail_on=lambda v: v % 2):
 
 class TestFaultPolicy:
     def test_aliases_coerce(self):
-        assert FaultPolicy.coerce("raise").propagate
-        assert not FaultPolicy.coerce("drop").propagate
+        # The legacy "raise"/"drop" strings are no longer accepted.
+        for alias in ("raise", "drop"):
+            with pytest.raises(ResilienceError):
+                FaultPolicy.coerce(alias)
         assert FaultPolicy.coerce(None) == FaultPolicy()
         policy = FaultPolicy(max_retries=3)
         assert FaultPolicy.coerce(policy) is policy
@@ -83,10 +85,6 @@ class TestFaultPolicy:
             350,
             350,
         ]
-
-    def test_alias_round_trip(self):
-        assert FaultPolicy.coerce("raise").alias == "raise"
-        assert FaultPolicy.coerce("drop").alias == "drop"
 
 
 class TestDeadLetterQueue:
@@ -254,7 +252,7 @@ class TestThreadedSimResilience:
         workflow, sink = flaky_workflow(fail_on=lambda v: v == 3)
         clock = VirtualClock()
         director = ThreadedCWFDirector(
-            clock, CostModel(), error_policy="drop"
+            clock, CostModel(), error_policy=FaultPolicy()
         )
         director.attach(workflow)
         SimulationRuntime(director, clock).run(1.0, drain=True)
@@ -338,27 +336,32 @@ class TestFaultInjection:
         with pytest.raises(ResilienceError):
             parse_fault_spec("a")  # never fires
 
+    # An injector shadows the instance's ``fire``; every train size must
+    # honour it, so no train may take the class-level ``fire_batch``.
     def test_every_schedule_is_exact(self):
-        workflow, sink = flaky_workflow(fail_on=lambda v: False)
-        injectors = install_faults(workflow, "worker:every=2")
-        assert len(injectors) == 1
-        clock = VirtualClock()
-        director = SCWFDirector(
-            RoundRobinScheduler(10_000),
-            clock,
-            CostModel(),
-            error_policy=FaultPolicy(),
-        )
-        director.attach(workflow)
-        SimulationRuntime(director, clock).run(1.0, drain=True)
-        # Firings 2, 4 and 6 fail deterministically.
-        assert sink.values == [0, 2, 4]
-        assert injectors[0].injected == 3
-        letters = list(director.dead_letters)
-        assert all(l.error_type == "InjectedFault" for l in letters)
+        for train_size in (1, 64, None):
+            workflow, sink = flaky_workflow(fail_on=lambda v: False)
+            injectors = install_faults(workflow, "worker:every=2")
+            assert len(injectors) == 1
+            clock = VirtualClock()
+            director = SCWFDirector(
+                RoundRobinScheduler(10_000),
+                clock,
+                CostModel(),
+                error_policy=FaultPolicy(),
+                train_size=train_size,
+            )
+            director.attach(workflow)
+            SimulationRuntime(director, clock).run(1.0, drain=True)
+            # Firings 2, 4 and 6 fail deterministically.
+            assert sink.values == [0, 2, 4], train_size
+            assert injectors[0].injected == 3, train_size
+            letters = list(director.dead_letters)
+            assert len(letters) == 3, train_size
+            assert all(l.error_type == "InjectedFault" for l in letters)
 
     def test_rate_schedule_is_deterministic(self):
-        def run():
+        def run(train_size):
             workflow, sink = flaky_workflow(
                 arrivals=[(i * 100, i) for i in range(50)],
                 fail_on=lambda v: False,
@@ -370,15 +373,17 @@ class TestFaultInjection:
                 clock,
                 CostModel(),
                 error_policy=FaultPolicy(),
+                train_size=train_size,
             )
             director.attach(workflow)
             SimulationRuntime(director, clock).run(1.0, drain=True)
             return sink.values, injectors[0].injected
 
-        first, injected_a = run()
-        second, injected_b = run()
-        assert first == second
-        assert injected_a == injected_b > 0
+        for train_size in (1, 64, None):
+            first, injected_a = run(train_size)
+            second, injected_b = run(train_size)
+            assert first == second, train_size
+            assert injected_a == injected_b > 0, train_size
 
     def test_uninstall_restores_fire(self):
         workflow, _ = flaky_workflow(fail_on=lambda v: False)
