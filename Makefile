@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-ablation checkpoint-smoke figures examples chaos clean
+.PHONY: install test lint ci perfbench perfbench-selftest bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-ablation checkpoint-smoke figures examples chaos clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -21,7 +21,21 @@ lint:  # ruff when available; otherwise a byte-compile syntax pass.
 	fi
 	$(PYTHON) tools/check_imports.py  # duplicate/unsorted imports (ruff "I" stand-in)
 
-ci: lint test checkpoint-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier
+ci: lint test perfbench-selftest checkpoint-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier
+
+PERFBENCH_WORKLOADS = fig8-rr fig8-pncwf fig8-qbs-ckpt lr4x-shard2
+PERFBENCH_SEED ?= 3
+PERFBENCH_SECONDS ?= 30
+
+perfbench-selftest:  # the repo benchmark's own tests (no timed runs)
+	$(PYTHON) -m pytest perfbench -q
+
+perfbench: perfbench-selftest  # repo benchmark: per-layer split of all four workloads
+	for workload in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload \
+			--seed $(PERFBENCH_SEED) --seconds $(PERFBENCH_SECONDS) \
+			--trace 1 || exit 1; \
+	done
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -317,3 +317,34 @@ class WindowedReceiver(Receiver):
         self.operator.state_restore(state["operator"])
         self._windows = deque(state["windows"])
         self._frontier_us = state.get("frontier_us", -1)
+
+
+def next_timeout_deadline(receivers: list[WindowedReceiver]) -> Optional[int]:
+    """Earliest engine time a window-formation timeout falls due.
+
+    *receivers* declare a ``timeout``; it falls due that long after a
+    pending pane's right boundary, an O(1) peek per receiver.
+    """
+    deadlines = [
+        boundary + receiver.spec.timeout
+        for receiver in receivers
+        if (boundary := receiver.next_deadline()) is not None
+    ]
+    return min(deadlines, default=None)
+
+
+def fire_due_timeouts(receivers: list[WindowedReceiver], now: int) -> int:
+    """Force-close every pane whose formation timeout passed by *now*.
+
+    The due receivers are picked before any fires, then fire in list
+    (registration) order.  Returns the number of windows produced.
+    """
+    due = [
+        receiver
+        for receiver in receivers
+        if (boundary := receiver.next_deadline()) is not None
+        and boundary + receiver.spec.timeout <= now
+    ]
+    return sum(
+        receiver.force_timeout(now - receiver.spec.timeout) for receiver in due
+    )

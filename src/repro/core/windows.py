@@ -26,11 +26,17 @@ parameters:
 Window operators are pure data-structure logic: they never look at a clock.
 Timeout decisions are made by whichever director owns the receiver, which
 calls :meth:`WindowOperator.force_timeout`.
+
+A time-measured operator keeps its pane deadlines in a lazy min-heap (see
+:class:`WindowOperator`): the earliest is an O(1) peek, and a timeout
+visits only the groups it closes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -298,9 +304,11 @@ class _TokenGroupState:
 class _TimeGroupState:
     """Per-group formation state for time-based windows."""
 
-    __slots__ = ("queue", "window_start", "last_ts", "monotone")
+    __slots__ = (
+        "queue", "window_start", "last_ts", "monotone", "ordinal", "armed"
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, ordinal: int) -> None:
         self.queue: deque[CWEvent] = deque()
         self.window_start: Optional[int] = None
         #: Timestamp of the most recently appended event and whether the
@@ -308,6 +316,9 @@ class _TimeGroupState:
         #: case, which unlocks O(consumed) popleft-based eviction.
         self.last_ts: Optional[int] = None
         self.monotone = True
+        #: Operator index state, set by ``state_restore`` after unpickling.
+        self.ordinal = ordinal
+        self.armed: Optional[int] = None
 
     def __reduce__(self):
         """Fast pickle path (see :meth:`_TokenGroupState.__reduce__`)."""
@@ -379,6 +390,17 @@ class WindowOperator:
       director's timeout signal; returns the forced window, if any;
     * :meth:`next_deadline` — the earliest event-time boundary at which a
       time-based group could produce, so directors can register timeouts.
+
+    Time-measured operators index their deadlines in a lazy min-heap of
+    ``(window_start + size, creation ordinal, key)``, one live entry per
+    non-empty group: a group pushes an entry when its deadline moves, an
+    entry counts while it matches the group's ``armed`` deadline, and the
+    heap is compacted past ``2 * live + 64`` entries.  So
+    :meth:`next_deadline` and :meth:`next_frontier_boundary` are an
+    amortized O(1) peek, and :meth:`force_timeout` and
+    :meth:`close_on_frontier` cost O(due · log G) for G groups.  The heap
+    is derived state, never dumped and built on first use, so an operator
+    nobody asks for deadlines (no timeout, no frontier) never pays for it.
     """
 
     def __init__(self, spec: WindowSpec):
@@ -389,6 +411,12 @@ class WindowOperator:
         self.expired: deque[CWEvent] = deque()
         self.total_events = 0
         self.total_windows = 0
+        #: Deadline index (``None`` until first used), live entry count.
+        self._heap: Optional[list[tuple[int, int, GroupKey]]] = None
+        self._live = 0
+        self._next_ordinal = 0
+        #: Next pane start of each evicted time group, by key.
+        self._evicted_starts: dict[GroupKey, int] = {}
 
     # ------------------------------------------------------------------
     # Group management
@@ -404,7 +432,10 @@ class WindowOperator:
             if self.spec.measure is Measure.TOKENS:
                 state = _TokenGroupState()
             elif self.spec.measure is Measure.TIME:
-                state = _TimeGroupState()
+                state = _TimeGroupState(self._next_ordinal)
+                self._next_ordinal += 1
+                if self._evicted_starts:
+                    state.window_start = self._evicted_starts.pop(key, None)
             else:
                 state = _WaveGroupState()
             self._groups[key] = state
@@ -540,6 +571,8 @@ class WindowOperator:
             state.monotone = False
         state.last_ts = event.timestamp
         state.queue.append(event)
+        if self._heap is not None and state.armed != state.window_start + size:
+            self._arm(state, key)
         if self.spec.mode is ConsumptionMode.RECENT and len(produced) > 1:
             produced = [produced[-1]]
         return produced
@@ -629,20 +662,83 @@ class WindowOperator:
     # ------------------------------------------------------------------
     # Timeouts
     # ------------------------------------------------------------------
+    def _arm(self, state: _TimeGroupState, key: GroupKey) -> None:
+        """Re-index *state* after its queue or pane may have moved."""
+        deadline = state.window_start + self.spec.size if state.queue else None
+        armed = state.armed
+        if deadline == armed:
+            return
+        if armed is None:
+            self._live += 1
+        elif deadline is None:
+            self._live -= 1
+        state.armed = deadline
+        if deadline is not None:
+            heap = self._heap
+            heapq.heappush(heap, (deadline, state.ordinal, key))
+            if len(heap) > 2 * self._live + 64:
+                self._heap = [e for e in heap if self._is_live(e)]
+                heapq.heapify(self._heap)
+
+    def _is_live(self, entry: tuple[int, int, GroupKey]) -> bool:
+        deadline, ordinal, key = entry
+        state = self._groups.get(key)
+        return (
+            state is not None
+            and state.armed == deadline
+            and state.ordinal == ordinal
+        )
+
+    def _index(self) -> list[tuple[int, int, GroupKey]]:
+        """Build the deadline heap on its first use."""
+        self._heap, self._live = [], 0
+        if self.spec.measure is Measure.TIME:
+            for key, state in self._groups.items():
+                state.armed = None
+                self._arm(state, key)
+        return self._heap
+
+    def _peek(self) -> Optional[int]:
+        """The earliest live deadline, discarding stale heap tops."""
+        heap = self._heap if self._heap is not None else self._index()
+        while heap and not self._is_live(heap[0]):
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def _close_due(self, bound: Optional[int], forced: bool) -> list[Window]:
+        """Close the panes due at *bound* (``None``: the shutdown flush).
+
+        Due groups close in creation order, the order a scan of
+        ``_groups`` visits them, so windows, the expired queue and window
+        serials come out exactly as a full scan would make them.
+        """
+        heap = self._heap if self._heap is not None else self._index()
+        limit = math.inf if bound is None else bound
+        due = []
+        while heap and heap[0][0] <= limit:
+            entry = heapq.heappop(heap)
+            if self._is_live(entry):
+                due.append(entry[1:])  # (ordinal, key): ordinals are unique
+        self._live -= len(due)
+        due.sort()
+        size = self.spec.size
+        produced: list[Window] = []
+        for _, key in due:
+            state = self._groups[key]
+            state.armed = None
+            while state.queue and (
+                bound is None or state.window_start + size <= bound
+            ):
+                windows = self._close_time_window(state, key, forced)
+                produced.extend(windows)
+                if not windows and bound is None:
+                    break
+            self._arm(state, key)
+        return produced
+
     def next_deadline(self) -> Optional[int]:
         """Earliest event-time right boundary of any pending time window."""
-        if self.spec.measure is not Measure.TIME:
-            return None
-        deadlines = [
-            state.window_start + self.spec.size
-            for state in self._groups.values()
-            if isinstance(state, _TimeGroupState)
-            and state.window_start is not None
-            and state.queue
-        ]
-        if not deadlines:
-            return None
-        return min(deadlines)
+        return self._peek()
 
     def force_timeout(self, now: Optional[int] = None) -> list[Window]:
         """Force-close pending windows (director-driven timeout).
@@ -655,17 +751,7 @@ class WindowOperator:
         """
         produced: list[Window] = []
         if self.spec.measure is Measure.TIME:
-            for key, state in self._groups.items():
-                if not isinstance(state, _TimeGroupState) or not state.queue:
-                    continue
-                while state.queue and (
-                    now is None or state.window_start + self.spec.size <= now
-                ):
-                    windows = self._close_time_window(state, key, forced=True)
-                    produced.extend(windows)
-                    if not windows and now is None:
-                        # Nothing left inside a boundary; stop flushing.
-                        break
+            produced = self._close_due(now, forced=True)
         elif self.spec.measure is Measure.TOKENS:
             for key, state in self._groups.items():
                 if state.queue:
@@ -691,8 +777,6 @@ class WindowOperator:
                 state.skip_debt = 0
         else:
             for key, state in self._groups.items():
-                if not isinstance(state, _WaveGroupState):
-                    continue
                 leftovers: list[CWEvent] = []
                 for events in state.events_by_root.values():
                     leftovers.extend(events)
@@ -734,16 +818,9 @@ class WindowOperator:
         window is fired and delivered before the downstream pane with a
         later boundary closes.
         """
-        if self.spec.measure is not Measure.TIME:
+        boundary = self._peek()
+        if boundary is None or boundary > up_to_us:
             return None
-        size = self.spec.size
-        boundary: Optional[int] = None
-        for state in self._groups.values():
-            if not isinstance(state, _TimeGroupState) or not state.queue:
-                continue
-            end = state.window_start + size
-            if end <= up_to_us and (boundary is None or end < boundary):
-                boundary = end
         return boundary
 
     def close_on_frontier(self, up_to_us: int) -> list[Window]:
@@ -758,17 +835,7 @@ class WindowOperator:
         close by count/mark, never by the frontier; for those this is a
         no-op.
         """
-        if self.spec.measure is not Measure.TIME:
-            return []
-        produced: list[Window] = []
-        size = self.spec.size
-        for key, state in self._groups.items():
-            if not isinstance(state, _TimeGroupState) or not state.queue:
-                continue
-            while state.queue and state.window_start + size <= up_to_us:
-                produced.extend(
-                    self._close_time_window(state, key, forced=False)
-                )
+        produced = self._close_due(up_to_us, forced=False)
         self.total_windows += len(produced)
         if produced and _obs.ENABLED:
             for window in produced:
@@ -790,9 +857,10 @@ class WindowOperator:
         ``_TimeGroupState`` / ``_WaveGroupState``) are plain slotted
         containers of events and boundaries, so they serialize directly;
         the ``group_by`` key *function* is structural (rebuilt from the
-        spec) and is deliberately not part of the dump.  The returned
-        dict references live containers — the checkpoint orchestrator
-        pickles it synchronously, before the engine takes another step.
+        spec) and is deliberately not part of the dump, and neither is
+        the deadline index.  The returned dict references live containers
+        — the checkpoint orchestrator pickles it synchronously, before the
+        engine takes another step.
         """
         return {
             "groups": self._groups,
@@ -803,12 +871,21 @@ class WindowOperator:
         }
 
     def state_restore(self, state: dict) -> None:
-        """Re-apply dumped formation state (Checkpointable protocol)."""
+        """Re-apply dumped formation state (Checkpointable protocol).
+
+        Group order is creation order; the deadline index is rebuilt on
+        its next use.
+        """
         self._groups = OrderedDict(state["groups"])
         self._last_seen = dict(state["last_seen"])
         self.expired = deque(state["expired"])
         self.total_events = int(state["total_events"])
         self.total_windows = int(state["total_windows"])
+        self._heap = None
+        self._next_ordinal = len(self._groups)
+        if self.spec.measure is Measure.TIME:
+            for ordinal, group in enumerate(self._groups.values()):
+                group.ordinal = ordinal
 
     def drain_expired(self) -> list[CWEvent]:
         """Remove and return everything in the expired-items queue."""
@@ -833,7 +910,10 @@ class WindowOperator:
         otherwise grow forever: every key keeps a formation state even
         after its events have all been consumed.  Only groups with no
         buffered events are eligible — nothing observable changes, memory
-        is reclaimed.  Returns the number of groups evicted.
+        is reclaimed.  An evicted time group leaves its next pane start
+        behind (in memory only, not in :meth:`state_dump`), so a group
+        re-created by a later event opens that pane.  Returns the number
+        of groups evicted.
         """
         doomed = []
         for key, state in self._groups.items():
@@ -846,8 +926,10 @@ class WindowOperator:
             if not busy:
                 doomed.append(key)
         for key in doomed:
-            del self._groups[key]
+            state = self._groups.pop(key)
             self._last_seen.pop(key, None)
+            if isinstance(state, _TimeGroupState):
+                self._evicted_starts[key] = state.window_start
         if doomed:
             if _obs.ENABLED:
                 _obs._TRACER.instant(

@@ -32,7 +32,12 @@ from ..core.director import Director
 from ..core.events import CWEvent
 from ..core.exceptions import DirectorError, ResilienceError
 from ..core.ports import InputPort
-from ..core.receivers import Receiver, WindowedReceiver
+from ..core.receivers import (
+    fire_due_timeouts,
+    next_timeout_deadline,
+    Receiver,
+    WindowedReceiver,
+)
 from ..core.windows import Window, WindowSpec
 from ..resilience import FailureAction, FaultPolicy, FaultSupervisor
 from .clock import VirtualClock
@@ -87,7 +92,8 @@ class ThreadedCWFDirector(Director):
         #: name -> deque of (port_name, item) ready for consumption.
         self._ready: dict[str, deque] = {}
         self._rotation: deque[str] = deque()
-        self._timed_receivers: list[_SimReadyReceiver] = []
+        #: Receivers whose window declares a formation timeout.
+        self._timeout_receivers: list[_SimReadyReceiver] = []
         self._sync_charge = 0
         self.context_switches = 0
         self.total_internal_firings = 0
@@ -100,8 +106,9 @@ class ThreadedCWFDirector(Director):
     # ------------------------------------------------------------------
     def create_receiver(self, port: InputPort) -> Receiver:
         receiver = _SimReadyReceiver(port.window, self, port)
-        if port.window is not None and port.window.measure.value == "time":
-            self._timed_receivers.append(receiver)
+        timed = port.window is not None and port.window.measure.value == "time"
+        if timed and port.window.timeout is not None:
+            self._timeout_receivers.append(receiver)
         return receiver
 
     def initialize_all(self) -> None:
@@ -270,25 +277,10 @@ class ThreadedCWFDirector(Director):
         return min(times, default=None)
 
     def next_window_deadline(self) -> Optional[int]:
-        deadlines = []
-        for receiver in self._timed_receivers:
-            if receiver.spec.timeout is None:
-                continue
-            boundary = receiver.next_deadline()
-            if boundary is not None:
-                deadlines.append(boundary + receiver.spec.timeout)
-        return min(deadlines, default=None)
+        return next_timeout_deadline(self._timeout_receivers)
 
     def fire_window_timeouts(self, now: int) -> int:
-        produced = 0
-        for receiver in self._timed_receivers:
-            timeout = receiver.spec.timeout
-            if timeout is None:
-                continue
-            boundary = receiver.next_deadline()
-            if boundary is not None and boundary + timeout <= now:
-                produced += receiver.force_timeout(now - timeout)
-        return produced
+        return fire_due_timeouts(self._timeout_receivers, now)
 
     def backlog(self) -> int:
         return sum(len(queue) for queue in self._ready.values())

@@ -27,7 +27,6 @@ in :mod:`repro.simulation`.
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 from ..core.actors import Actor, SourceActor
@@ -36,7 +35,11 @@ from ..core.director import Director
 from ..core.events import CWEvent
 from ..core.exceptions import DirectorError, ResilienceError
 from ..core.ports import InputPort
-from ..core.receivers import Receiver
+from ..core.receivers import (
+    fire_due_timeouts,
+    next_timeout_deadline,
+    Receiver,
+)
 from ..core.windows import Window
 from ..observability import tracer as _obs
 from ..resilience import FailureAction, FaultPolicy, FaultSupervisor
@@ -126,15 +129,8 @@ class SCWFDirector(Director):
         self.total_events_admitted = 0
         self.actor_errors: dict[str, int] = {}
         self._timed_receivers: list[TMWindowedReceiver] = []
-        # ---- timed-window deadline heap -----------------------------
-        #: Receivers whose spec declares a formation timeout, by slot.
-        self._deadline_watch: list[TMWindowedReceiver] = []
-        #: Lazy min-heap of ``(deadline_us, slot)``; an entry is live iff
-        #: it equals ``_deadline_cache[slot]``.
-        self._deadline_heap: list[tuple[int, int]] = []
-        self._deadline_cache: list[Optional[int]] = []
-        #: Slots whose window operator changed since the last flush.
-        self._deadline_dirty: set[int] = set()
+        #: Timed receivers whose formation timeout this director fires.
+        self._timeout_receivers: list[TMWindowedReceiver] = []
         #: Per-actor facts of the fire loop, by actor name (``_fire_plan``).
         self._fire_plans: dict[str, tuple] = {}
         # ---- next-arrival cache -------------------------------------
@@ -166,11 +162,7 @@ class SCWFDirector(Director):
             # formation-timeout watch would race it non-deterministically
             # across placements, so it is not registered.
             if port.window.timeout is not None and not frontier_closes:
-                slot = len(self._deadline_watch)
-                self._deadline_watch.append(receiver)
-                self._deadline_cache.append(None)
-                self._deadline_dirty.add(slot)
-                receiver.watch_deadline(slot)
+                self._timeout_receivers.append(receiver)
         return receiver
 
     def initialize_all(self) -> None:
@@ -624,80 +616,23 @@ class SCWFDirector(Director):
     # ------------------------------------------------------------------
     # Window timeout events
     # ------------------------------------------------------------------
-    def _mark_deadline_dirty(self, slot: int) -> None:
-        """A timed receiver's window operator changed; its deadline is
-        stale.  O(1) — recomputation is deferred to the next flush."""
-        self._deadline_dirty.add(slot)
-
-    def _flush_deadlines(self) -> None:
-        """Recompute the deadline of every dirty receiver (O(dirty·G))
-        and repair the lazy heap (O(dirty·log R))."""
-        dirty = self._deadline_dirty
-        if not dirty:
-            return
-        heap = self._deadline_heap
-        cache = self._deadline_cache
-        for slot in dirty:
-            receiver = self._deadline_watch[slot]
-            boundary = receiver.next_deadline()
-            deadline = (
-                None if boundary is None else boundary + receiver.spec.timeout
-            )
-            cache[slot] = deadline
-            if deadline is not None:
-                heapq.heappush(heap, (deadline, slot))
-        dirty.clear()
-
-    def _peek_deadline(self) -> Optional[tuple[int, int]]:
-        """The earliest live ``(deadline, slot)``, discarding stale tops."""
-        heap = self._deadline_heap
-        cache = self._deadline_cache
-        while heap:
-            deadline, slot = heap[0]
-            if cache[slot] == deadline:
-                return heap[0]
-            heapq.heappop(heap)
-        return None
-
     def next_window_deadline(self) -> Optional[int]:
         """Earliest engine time a timed-window timeout must fire.
 
         A receiver participates only when its spec declares a
         ``window_formation_timeout``; the timeout fires that long after the
-        window's event-time right boundary.  Served from a lazily repaired
-        min-heap: O(dirty·log R) amortized instead of an O(R) rescan.
+        window's event-time right boundary.
         """
-        self._flush_deadlines()
-        top = self._peek_deadline()
-        return top[0] if top is not None else None
+        return next_timeout_deadline(self._timeout_receivers)
 
     def fire_window_timeouts(self, now: int) -> int:
         """Force-produce every timed window whose timeout passed by *now*.
 
-        Only *due* receivers are popped from the deadline heap
-        (O(due·log R)); the historical full rescan of ``_timed_receivers``
-        is gone.  Due receivers fire in registration order, matching the
-        rescan's firing order exactly.
+        Due receivers fire in registration order.
         """
-        self._flush_deadlines()
-        due: list[int] = []
-        while True:
-            top = self._peek_deadline()
-            if top is None or top[0] > now:
-                break
-            _, slot = heapq.heappop(self._deadline_heap)
-            self._deadline_cache[slot] = None
-            due.append(slot)
-        produced = 0
-        for slot in sorted(due):
-            receiver = self._deadline_watch[slot]
-            produced += receiver.force_timeout(now - receiver.spec.timeout)
-            # force_timeout marks the slot dirty via the receiver hook;
-            # ensure it is re-examined even when nothing was produced.
-            self._deadline_dirty.add(slot)
-        if produced:
-            if _obs.ENABLED:
-                _obs._TRACER.instant("window.timeout_fired", now, produced=produced)
+        produced = fire_due_timeouts(self._timeout_receivers, now)
+        if produced and _obs.ENABLED:
+            _obs._TRACER.instant("window.timeout_fired", now, produced=produced)
         return produced
 
     # ------------------------------------------------------------------
@@ -709,7 +644,7 @@ class SCWFDirector(Director):
         Receiver creation consults the tracker's mode — ``"close"``
         replaces the engine-time formation-timeout watch with
         event-time frontier closure — so enabling after attachment
-        would leave the deadline heap armed.
+        would leave the formation timeouts armed.
         """
         if self._attached:
             raise DirectorError(
@@ -886,8 +821,8 @@ class SCWFDirector(Director):
         Scheduler, receivers, supervisor, statistics, clock and cost
         model are separate checkpoint components — the orchestrator in
         :mod:`repro.checkpoint.snapshot` walks them individually.  The
-        timed-deadline heap and the next-arrival cache are *derived*
-        state and are rebuilt lazily on restore instead of serialized.
+        next-arrival cache is *derived* state and is rebuilt lazily on
+        restore instead of serialized.
         """
         return {
             "iterations": self.iterations,
@@ -898,21 +833,16 @@ class SCWFDirector(Director):
         }
 
     def state_restore(self, state: dict) -> None:
-        """Re-apply director counters and invalidate the derived caches.
+        """Re-apply director counters and invalidate the arrival cache.
 
-        Marking every deadline slot dirty and dropping the arrival cache
-        forces the next ``next_window_deadline`` / ``next_arrival_time``
-        call to recompute from the (already restored) receivers and
-        source cursors — the lazy repair machinery then behaves exactly
-        as in an uninterrupted run.
+        Dropping the cache forces the next ``next_arrival_time`` call to
+        recompute from the (already restored) source cursors, so the run
+        continues exactly as an uninterrupted one.
         """
         self.iterations = int(state["iterations"])
         self.total_internal_firings = int(state["total_internal_firings"])
         self.total_source_firings = int(state["total_source_firings"])
         self.total_events_admitted = int(state["total_events_admitted"])
         self.actor_errors = dict(state["actor_errors"])
-        self._deadline_heap.clear()
-        self._deadline_cache = [None] * len(self._deadline_watch)
-        self._deadline_dirty = set(range(len(self._deadline_watch)))
         self._arrival_cache = None
         self._arrival_cache_valid = False

@@ -45,16 +45,6 @@ class TMWindowedReceiver(WindowedReceiver):
         super().__init__(effective, port)
         self._director = director
         self._buffer: deque = deque()
-        #: Slot in the director's timed-deadline heap, or ``None`` when
-        #: this receiver has no formation timeout to watch.
-        self._deadline_slot: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # Timed-deadline index participation
-    # ------------------------------------------------------------------
-    def watch_deadline(self, slot: int) -> None:
-        """Director-assigned slot in its timed-window deadline heap."""
-        self._deadline_slot = slot
 
     def put(self, event: CWEvent) -> None:
         if self._passthrough:
@@ -77,9 +67,6 @@ class TMWindowedReceiver(WindowedReceiver):
             )
             return
         super().put(event)
-        if self._deadline_slot is not None:
-            # The window operator's pending boundaries may have moved.
-            self._director._mark_deadline_dirty(self._deadline_slot)
 
     def put_batch(self, events: list[CWEvent]) -> None:
         """Train intake: one scheduler call for a windowless port's train.
@@ -87,8 +74,7 @@ class TMWindowedReceiver(WindowedReceiver):
         Passthrough ports hand the whole event train to the scheduler in
         a single ``schedule_ready_batch`` — the per-event path's dominant
         cost.  Windowed ports run the (possibly amortized) operator batch
-        insert and mark the deadline slot dirty once: the dirty set is
-        idempotent, so marking per event was pure overhead.
+        insert.
         """
         if self._passthrough:
             from ..core.punctuation import Punctuation, Watermark
@@ -110,30 +96,11 @@ class TMWindowedReceiver(WindowedReceiver):
             )
             return
         super().put_batch(events)
-        if self._deadline_slot is not None:
-            self._director._mark_deadline_dirty(self._deadline_slot)
-
-    def force_timeout(self, now: Optional[int] = None) -> int:
-        produced = super().force_timeout(now)
-        if self._deadline_slot is not None:
-            self._director._mark_deadline_dirty(self._deadline_slot)
-        return produced
-
-    def close_on_frontier(self, up_to_us: int) -> int:
-        produced = super().close_on_frontier(up_to_us)
-        if self._deadline_slot is not None:
-            self._director._mark_deadline_dirty(self._deadline_slot)
-        return produced
 
     def _note_late(self, event: CWEvent) -> None:
         tracker = self._director.frontier
         if tracker is not None:
             tracker.note_late()
-
-    def clear(self) -> None:
-        super().clear()
-        if self._deadline_slot is not None:
-            self._director._mark_deadline_dirty(self._deadline_slot)
 
     # ------------------------------------------------------------------
     def _deliver(self, window: Window) -> None:
@@ -181,12 +148,7 @@ class TMWindowedReceiver(WindowedReceiver):
     # Checkpointable protocol
     # ------------------------------------------------------------------
     def state_dump(self) -> dict:
-        """Snapshot window state + director-staged items (Checkpointable).
-
-        ``_deadline_slot`` is structural (assigned when the director
-        builds its timed-deadline heap) and is not part of the dump; the
-        restore path re-marks every slot dirty instead.
-        """
+        """Snapshot window state + director-staged items (Checkpointable)."""
         state = super().state_dump()
         state["staged"] = list(self._buffer)
         return state

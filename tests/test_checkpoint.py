@@ -239,33 +239,62 @@ class TestEngineCheckpointer:
     def test_manifests_are_deterministic(self):
         """Regression: ``created_at`` used to stamp wall-clock
         ``time.time()``, so two identical seeded runs published
-        different manifest bytes.  It now derives from engine time."""
+        different manifest bytes.  It now derives from engine time.
+
+        The payload embeds process-global sequence counters (event
+        admission, window serials) whose pickled widths depend on what
+        ran earlier in the process, so each run gets a fresh
+        interpreter and the full manifests — ``crc32`` and
+        ``payload_bytes`` included — must repeat exactly.  The payload
+        also carries the wall-clock duration of the previous checkpoint
+        (``checkpoint_duration_us_*`` engine counters), so both runs
+        read a frozen ``time.perf_counter``.
+        """
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import json\n"
+            "import time\n"
+            "time.perf_counter = lambda: 0.0\n"
+            "from repro.checkpoint import EngineCheckpointer, "
+            "MemoryCheckpointStore\n"
+            "from repro.simulation import SimulationRuntime\n"
+            "from tests.test_checkpoint import _small_engine\n"
+            "director, clock, _ = _small_engine()\n"
+            "store = MemoryCheckpointStore(retain=10)\n"
+            "checkpointer = EngineCheckpointer(\n"
+            "    director, store, every_us=500_000, meta={'seed': 7}\n"
+            ")\n"
+            "SimulationRuntime(director, clock, "
+            "checkpointer=checkpointer).run(2.0)\n"
+            "print(json.dumps("
+            "[json.loads(m.to_json()) for m in store.manifests()]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")])
+        )
 
         def manifests():
-            director, clock, _ = _small_engine()
-            store = MemoryCheckpointStore(retain=10)
-            checkpointer = EngineCheckpointer(
-                director, store, every_us=500_000, meta={"seed": 7}
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=root,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
             )
-            SimulationRuntime(
-                director, clock, checkpointer=checkpointer
-            ).run(2.0)
-            # The payload CRC is excluded: pickled events embed the
-            # process-global admission sequence, which advances across
-            # two runs *within one process* (separate processes are
-            # byte-identical).  Everything else — created_at included —
-            # must repeat exactly.
-            import json
-
-            dumps = []
-            for manifest in store.manifests():
-                record = json.loads(manifest.to_json())
-                record.pop("crc32")
-                dumps.append(record)
-            return dumps
+            assert completed.returncode == 0, completed.stderr
+            return json.loads(completed.stdout)
 
         first = manifests()
         assert first  # the run actually checkpointed
+        assert all("crc32" in m and "payload_bytes" in m for m in first)
         assert first == manifests()
 
     def test_created_at_clock_injectable(self):

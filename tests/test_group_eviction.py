@@ -65,3 +65,25 @@ class TestEviction:
         e.last_in_wave = True
         op.put(e)  # wave closes immediately: state empty afterwards
         assert op.evict_idle_groups(before_ts=100) == 1
+
+
+class TestTimeGroupEvictionAlignment:
+    """A re-created time group opens the pane the evicted one would have."""
+
+    @staticmethod
+    def panes(evict):
+        op = WindowOperator(
+            WindowSpec.time(60, 60, group_by="k", delete_used_events=True)
+        )
+        produced = op.put(event(1, ts=10, key="a"))
+        produced += op.force_timeout(100)
+        if evict:
+            assert op.evict_idle_groups(before_ts=100) == 1
+            assert op.group_keys == []
+        produced += op.put(event(2, ts=100, key="a"))
+        produced += op.force_timeout(200)
+        return [(w.start, w.end) for w in produced]
+
+    def test_eviction_keeps_pane_boundaries(self):
+        assert self.panes(evict=False) == [(10, 70), (70, 130)]
+        assert self.panes(evict=True) == [(10, 70), (70, 130)]
